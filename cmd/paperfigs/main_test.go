@@ -45,6 +45,23 @@ func TestRunSigmaQuick(t *testing.T) {
 	}
 }
 
+// The contention ablation models a bounded datacenter link, which the
+// analytic estimator rejects; under -estimator analytic the figure
+// must fall back to Monte Carlo with a note instead of failing -all.
+func TestRunContentionAnalyticFallsBackToMC(t *testing.T) {
+	dir := t.TempDir()
+	var out, errw strings.Builder
+	if err := run([]string{"-fig", "contention", "-quick", "-estimator", "analytic", "-out", dir}, &out, &errw); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(errw.String(), "Monte Carlo") {
+		t.Errorf("no fallback note on stderr: %q", errw.String())
+	}
+	if out.Len() == 0 {
+		t.Error("no contention table printed")
+	}
+}
+
 func TestRunTable3bQuick(t *testing.T) {
 	dir := t.TempDir()
 	var out, errw strings.Builder

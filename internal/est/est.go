@@ -226,7 +226,7 @@ func Compute(w *wf.Workflow, p *platform.Platform, s *plan.Schedule) (*Estimate,
 	}
 	defer arenaPool.Put(a)
 
-	// Per-task static structure, mirroring sim.engineStatic: staged
+	// Per-task static structure, mirroring sim.engine.bind: staged
 	// bytes (external input plus cross-VM input edges), the largest
 	// upload each task issues (cross-VM output edges and the external
 	// output all start at finish time, so only the largest extends the

@@ -11,7 +11,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 
 	"budgetwf/internal/wf"
 )
@@ -56,7 +55,7 @@ func (s *Schedule) NumVMs() int { return len(s.VMCats) }
 // AddVM provisions a VM of the given category and returns its index.
 func (s *Schedule) AddVM(cat int) int {
 	s.VMCats = append(s.VMCats, cat)
-	s.Order = append(s.Order, nil)
+	s.resizeOrder(len(s.Order) + 1)
 	return len(s.VMCats) - 1
 }
 
@@ -82,68 +81,53 @@ func (s *Schedule) Clone() *Schedule {
 	return c
 }
 
+// CopyFrom makes s a deep copy of src, reusing s's buffers: once they
+// have grown to src's sizes, copying allocates nothing. The refinement
+// algorithms build every candidate move this way in one Schedule.
+func (s *Schedule) CopyFrom(src *Schedule) {
+	s.VMCats = append(s.VMCats[:0], src.VMCats...)
+	s.TaskVM = append(s.TaskVM[:0], src.TaskVM...)
+	s.ListT = append(s.ListT[:0], src.ListT...)
+	s.resizeOrder(len(src.Order))
+	for i, o := range src.Order {
+		s.Order[i] = append(s.Order[i][:0], o...)
+	}
+	s.EstMakespan = src.EstMakespan
+	s.EstCost = src.EstCost
+}
+
+// resizeOrder sets len(s.Order) to k. Orders it adds are empty but
+// keep, for reuse, the backing arrays left beyond the old length; like
+// every order built by this package, each belongs to s alone.
+func (s *Schedule) resizeOrder(k int) {
+	old := len(s.Order)
+	for cap(s.Order) < k {
+		s.Order = append(s.Order[:cap(s.Order)], nil)
+	}
+	s.Order = s.Order[:k]
+	for i := old; i < k; i++ {
+		s.Order[i] = s.Order[i][:0]
+	}
+}
+
 // RebuildOrder recomputes every VM's execution order from TaskVM and
 // ListT: tasks on one VM run in ListT-rank order. The refinement
 // algorithms call this after moving a task between VMs. Tasks missing
 // from ListT keep relative ID order after listed ones; in practice
-// ListT always covers all tasks.
+// ListT always covers all tasks. The orders are fresh slices, so any
+// that the old ones shared stay untouched.
 func (s *Schedule) RebuildOrder() {
-	rank := make(map[wf.TaskID]int, len(s.ListT))
-	for i, t := range s.ListT {
-		rank[t] = i
-	}
-	s.Order = make([][]wf.TaskID, len(s.VMCats))
-	for task, vm := range s.TaskVM {
-		if vm == Unassigned {
-			continue
-		}
-		s.Order[vm] = append(s.Order[vm], wf.TaskID(task))
-	}
-	for _, o := range s.Order {
-		sort.SliceStable(o, func(a, b int) bool {
-			ra, oka := rank[o[a]]
-			rb, okb := rank[o[b]]
-			switch {
-			case oka && okb:
-				return ra < rb
-			case oka:
-				return true
-			case okb:
-				return false
-			default:
-				return o[a] < o[b]
-			}
-		})
-	}
+	s.Order = nil
+	new(Scratch).RebuildOrder(s)
 }
 
-// CompactVMs removes VMs with no assigned task, renumbering TaskVM.
-// The refinement algorithms can leave a VM empty after moving its last
-// task away; an empty VM must not be billed.
+// CompactVMs removes VMs with no assigned task, renumbering TaskVM,
+// and rebuilds the orders as RebuildOrder does. The refinement
+// algorithms can leave a VM empty after moving its last task away; an
+// empty VM must not be billed.
 func (s *Schedule) CompactVMs() {
-	used := make([]bool, len(s.VMCats))
-	for _, vm := range s.TaskVM {
-		if vm != Unassigned {
-			used[vm] = true
-		}
-	}
-	remap := make([]int, len(s.VMCats))
-	var cats []int
-	for i, u := range used {
-		if u {
-			remap[i] = len(cats)
-			cats = append(cats, s.VMCats[i])
-		} else {
-			remap[i] = Unassigned
-		}
-	}
-	for t, vm := range s.TaskVM {
-		if vm != Unassigned {
-			s.TaskVM[t] = remap[vm]
-		}
-	}
-	s.VMCats = cats
-	s.RebuildOrder()
+	s.Order = nil
+	new(Scratch).CompactVMs(s)
 }
 
 // Validate checks the schedule against a workflow and a category
@@ -152,6 +136,99 @@ func (s *Schedule) CompactVMs() {
 // consistent (no task placed after one of its descendants on the same
 // VM, which would deadlock execution).
 func (s *Schedule) Validate(w *wf.Workflow, numCats int) error {
+	return new(Scratch).Validate(s, w, numCats)
+}
+
+// Scratch is reusable working memory for RebuildOrder, CompactVMs and
+// Validate. Code that runs them once per candidate schedule keeps one
+// Scratch so they allocate nothing once its buffers have grown. The
+// zero value is ready to use; a Scratch is not safe for concurrent use.
+type Scratch struct {
+	rank  []int // ListT position per task, -1 if unlisted
+	remap []int // old VM index → compacted index
+	seen  []bool
+	pos   []int // position of each task in its VM's order
+}
+
+// ints returns buf resized to n, reallocating only when it must grow.
+func ints(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
+	}
+	return buf[:n]
+}
+
+// RebuildOrder is Schedule.RebuildOrder on sc's buffers, rewriting
+// s.Order in place: each order must own its backing array, as those
+// built by AddVM, Assign, Clone, CopyFrom and this method do. One
+// linear pass over ListT places each task in its VM's order at its
+// ListT rank, then one pass appends the unlisted tasks in ID order. A
+// task listed twice takes the rank of its last occurrence; IDs outside
+// the workflow are ignored.
+func (sc *Scratch) RebuildOrder(s *Schedule) {
+	n := len(s.TaskVM)
+	sc.rank = ints(sc.rank, n)
+	rank := sc.rank
+	for t := range rank {
+		rank[t] = -1
+	}
+	for i, t := range s.ListT {
+		if t >= 0 && int(t) < n {
+			rank[t] = i
+		}
+	}
+	s.resizeOrder(len(s.VMCats))
+	for vm := range s.Order {
+		s.Order[vm] = s.Order[vm][:0]
+	}
+	for i, t := range s.ListT {
+		if t >= 0 && int(t) < n && rank[t] == i {
+			if vm := s.TaskVM[t]; vm != Unassigned {
+				s.Order[vm] = append(s.Order[vm], t)
+			}
+		}
+	}
+	for t, vm := range s.TaskVM {
+		if rank[t] < 0 && vm != Unassigned {
+			s.Order[vm] = append(s.Order[vm], wf.TaskID(t))
+		}
+	}
+}
+
+// CompactVMs is Schedule.CompactVMs on sc's buffers; it renumbers the
+// VMs in place and then rebuilds the orders in place with
+// sc.RebuildOrder.
+func (sc *Scratch) CompactVMs(s *Schedule) {
+	sc.remap = ints(sc.remap, len(s.VMCats))
+	remap := sc.remap
+	for i := range remap {
+		remap[i] = Unassigned
+	}
+	for _, vm := range s.TaskVM {
+		if vm != Unassigned {
+			remap[vm] = 0 // used
+		}
+	}
+	k := 0
+	for i, r := range remap {
+		if r != Unassigned {
+			remap[i] = k
+			s.VMCats[k] = s.VMCats[i]
+			k++
+		}
+	}
+	s.VMCats = s.VMCats[:k]
+	for t, vm := range s.TaskVM {
+		if vm != Unassigned {
+			s.TaskVM[t] = remap[vm]
+		}
+	}
+	sc.RebuildOrder(s)
+}
+
+// Validate is Schedule.Validate on sc's buffers: the same checks, in
+// the same order, with the same errors.
+func (sc *Scratch) Validate(s *Schedule, w *wf.Workflow, numCats int) error {
 	n := w.NumTasks()
 	if len(s.TaskVM) != n {
 		return fmt.Errorf("plan: TaskVM has %d entries, workflow has %d tasks", len(s.TaskVM), n)
@@ -172,7 +249,11 @@ func (s *Schedule) Validate(w *wf.Workflow, numCats int) error {
 	if len(s.Order) != len(s.VMCats) {
 		return fmt.Errorf("plan: Order has %d VMs, VMCats has %d", len(s.Order), len(s.VMCats))
 	}
-	seen := make([]bool, n)
+	if cap(sc.seen) < n {
+		sc.seen = make([]bool, n)
+	}
+	seen := sc.seen[:n]
+	clear(seen)
 	for vmIdx, order := range s.Order {
 		for _, t := range order {
 			if int(t) < 0 || int(t) >= n {
@@ -194,7 +275,8 @@ func (s *Schedule) Validate(w *wf.Workflow, numCats int) error {
 	}
 	// Per-VM order must respect the precedence relation restricted to
 	// tasks sharing a VM; otherwise the FIFO executor deadlocks.
-	pos := make([]int, n)
+	sc.pos = ints(sc.pos, n)
+	pos := sc.pos
 	for _, order := range s.Order {
 		for i, t := range order {
 			pos[t] = i

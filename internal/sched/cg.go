@@ -6,7 +6,6 @@ import (
 
 	"budgetwf/internal/plan"
 	"budgetwf/internal/platform"
-	"budgetwf/internal/sim"
 	"budgetwf/internal/wf"
 )
 
@@ -130,45 +129,56 @@ func cgPlusOpt(w *wf.Workflow, p *platform.Platform, budget float64, opt Options
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.RunDeterministic(w, p, cur)
+	m, res, err := newMover(w, p, cur)
 	if err != nil {
 		return nil, fmt.Errorf("sched: simulating CG schedule: %w", err)
 	}
+	makespan, cost, path := res.Makespan, res.TotalCost, res.CriticalPath()
 
 	maxIters := 4 * w.NumTasks()
 	for iter := 0; iter < maxIters; iter++ {
-		type move struct {
-			sched *plan.Schedule
-			res   *sim.Result
-			ratio float64
-		}
-		var best *move
-		for _, t := range res.CriticalPath() {
-			for _, cand := range moveCandidates(cur, t, p.NumCategories()) {
+		bestT, bestTarget := wf.TaskID(-1), -1
+		var bestRatio, bestMakespan, bestCost float64
+		for _, t := range path {
+			for target := range m.targets(cur) {
+				if target == cur.TaskVM[t] {
+					continue
+				}
 				if err := opt.stopErr(); err != nil {
 					return nil, err
 				}
-				r, err := sim.RunDeterministic(w, p, cand)
+				r, err := m.try(cur, t, target)
 				if err != nil {
 					continue
 				}
-				dT := res.Makespan - r.Makespan
-				dC := r.TotalCost - res.TotalCost
+				dT := makespan - r.Makespan
+				dC := r.TotalCost - cost
 				if dT <= 0 || dC <= 0 || r.TotalCost > budget {
 					continue
 				}
-				ratio := dT / dC
-				if best == nil || ratio > best.ratio {
-					best = &move{sched: cand, res: r, ratio: ratio}
+				if ratio := dT / dC; bestTarget < 0 || ratio > bestRatio {
+					bestT, bestTarget = t, target
+					bestRatio, bestMakespan, bestCost = ratio, r.Makespan, r.TotalCost
 				}
 			}
 		}
-		if best == nil {
+		if bestTarget < 0 {
 			break
 		}
-		cur, res = best.sched, best.res
+		m.build(cur, bestT, bestTarget)
+		cur, makespan, cost = m.cand.Clone(), bestMakespan, bestCost
+		// The next critical path comes from the kept schedule's own
+		// run: the candidates' results alias the Runner's buffers.
+		if err := m.runner.Retarget(cur); err != nil {
+			return nil, err
+		}
+		res, err := m.runner.Run(m.weights)
+		if err != nil {
+			return nil, err
+		}
+		path = res.CriticalPath()
 	}
-	cur.EstMakespan = res.Makespan
-	cur.EstCost = res.TotalCost
+	cur.EstMakespan = makespan
+	cur.EstCost = cost
 	return cur, nil
 }

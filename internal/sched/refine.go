@@ -34,12 +34,7 @@ func refine(w *wf.Workflow, p *platform.Platform, budget float64, inverse bool, 
 	if err != nil {
 		return nil, err
 	}
-	// One weights vector serves every candidate simulation below:
-	// refine evaluates O(n·(VMs+cats)) candidates, and re-deriving the
-	// conservative weights per candidate was a measurable share of its
-	// allocations.
-	weights := sim.ConservativeWeights(w)
-	res, err := sim.Run(w, p, cur, weights)
+	m, res, err := newMover(w, p, cur)
 	if err != nil {
 		return nil, fmt.Errorf("sched: simulating HEFTBUDG schedule: %w", err)
 	}
@@ -58,25 +53,28 @@ func refine(w *wf.Workflow, p *platform.Platform, budget float64, inverse bool, 
 
 	moves, upgrades := 0, 0
 	for _, t := range order {
-		best := cur
-		for _, cand := range moveCandidates(cur, t, p.NumCategories()) {
+		best := -1 // target of the best move of t so far
+		for target := range m.targets(cur) {
+			if target == cur.TaskVM[t] {
+				continue
+			}
 			if err := opt.stopErr(); err != nil {
 				return nil, err
 			}
 			moves++
-			r, err := sim.Run(w, p, cand, weights)
+			r, err := m.try(cur, t, target)
 			if err != nil {
 				// A malformed candidate (should not happen: moves keep
 				// ListT-derived orders topological) is simply skipped.
 				continue
 			}
 			if r.Makespan < minMakespan && r.TotalCost < budget {
-				best = cand
+				best = target
 				if span != nil {
 					upgrades++
 					span.Event("upgrade",
 						obs.Int("task", int(t)),
-						obs.Int("toVM", best.TaskVM[t]),
+						obs.Int("toVM", m.cand.TaskVM[t]),
 						obs.Float("makespanBefore", minMakespan),
 						obs.Float("makespanAfter", r.Makespan),
 						obs.Float("cost", r.TotalCost))
@@ -84,7 +82,10 @@ func refine(w *wf.Workflow, p *platform.Platform, budget float64, inverse bool, 
 				minMakespan = r.Makespan
 			}
 		}
-		cur = best
+		if best >= 0 {
+			m.build(cur, t, best)
+			cur = m.cand.Clone()
+		}
 	}
 	span.Set(obs.Int("movesTried", moves), obs.Int("upgrades", upgrades),
 		obs.Float("finalMakespan", minMakespan))
@@ -92,28 +93,60 @@ func refine(w *wf.Workflow, p *platform.Platform, budget float64, inverse bool, 
 	return cur, nil
 }
 
-// moveCandidates generates every schedule obtained by moving task t to
-// a different used VM or to a fresh VM of each category (Algorithm 5,
-// line 7: (UsedVM \ sched(T)) ∪ NewVM). Each candidate is compacted
-// (a VM left empty by the move is deprovisioned) and its per-VM orders
-// rebuilt from ListT.
-func moveCandidates(s *plan.Schedule, t wf.TaskID, numCats int) []*plan.Schedule {
-	var out []*plan.Schedule
-	curVM := s.TaskVM[t]
-	for vm := range s.VMCats {
-		if vm == curVM {
-			continue
-		}
-		c := s.Clone()
-		c.TaskVM[t] = vm
-		c.CompactVMs()
-		out = append(out, c)
+// mover evaluates the candidate moves of the refinement algorithms on
+// one reused candidate schedule and one retargeted sim.Runner, so a
+// candidate costs a copy, a linear order rebuild, a full Validate and
+// a deterministic simulation, and allocates nothing once the buffers
+// have grown. Callers remember the best move and rebuild and Clone it
+// once they keep it.
+type mover struct {
+	runner  *sim.Runner
+	weights []float64 // conservative, shared by every candidate
+	cand    plan.Schedule
+	scratch plan.Scratch
+	numCats int
+}
+
+// newMover binds a mover to the workflow and platform and simulates s
+// under conservative weights, the result every move is compared with.
+// The result aliases the mover's engine: read it before the first try.
+func newMover(w *wf.Workflow, p *platform.Platform, s *plan.Schedule) (*mover, *sim.Result, error) {
+	runner, err := sim.NewRunner(w, p, s)
+	if err != nil {
+		return nil, nil, err
 	}
-	for cat := 0; cat < numCats; cat++ {
-		c := s.Clone()
-		c.TaskVM[t] = c.AddVM(cat)
-		c.CompactVMs()
-		out = append(out, c)
+	m := &mover{runner: runner, weights: sim.ConservativeWeights(w), numCats: p.NumCategories()}
+	res, err := m.runner.Run(m.weights)
+	if err != nil {
+		return nil, nil, err
 	}
-	return out
+	return m, res, nil
+}
+
+// targets is the number of move targets of a task of s (Algorithm 5,
+// line 7: (UsedVM \ sched(T)) ∪ NewVM): targets below s.NumVMs() are
+// used VMs, the rest a fresh VM of category target−s.NumVMs(). The
+// task's own VM is a target too; callers skip it.
+func (m *mover) targets(s *plan.Schedule) int { return s.NumVMs() + m.numCats }
+
+// build makes m.cand the schedule s with task t moved to target: a VM
+// left empty is deprovisioned and per-VM orders rebuilt from ListT.
+func (m *mover) build(s *plan.Schedule, t wf.TaskID, target int) {
+	c := &m.cand
+	c.CopyFrom(s)
+	if k := s.NumVMs(); target >= k {
+		target = c.AddVM(target - k)
+	}
+	c.TaskVM[t] = target
+	m.scratch.CompactVMs(c)
+}
+
+// try builds the move of t to target and simulates it. The result
+// aliases the Runner and is valid until the next try.
+func (m *mover) try(s *plan.Schedule, t wf.TaskID, target int) (*sim.Result, error) {
+	m.build(s, t, target)
+	if err := m.runner.Retarget(&m.cand); err != nil {
+		return nil, err
+	}
+	return m.runner.Run(m.weights)
 }

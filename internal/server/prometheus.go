@@ -25,12 +25,14 @@ import (
 // expect.
 const prometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// escapeLabelValue escapes a Prometheus label value per the exposition
-// format: backslash, double quote and newline.
-func escapeLabelValue(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// labelEscaper escapes a Prometheus label value per the exposition
+// format: backslash, double quote and newline, nothing else.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// escapeLabelValue escapes v for use between the double quotes of a
+// label. Every label site writes "…" around it itself: Go's %q would
+// escape the escapes again and emit \u sequences the format lacks.
+func escapeLabelValue(v string) string { return labelEscaper.Replace(v) }
 
 // mapCounters snapshots an expvar.Map of expvar.Int counters into
 // sorted (key, value) pairs, so the exposition is deterministic.
@@ -60,31 +62,31 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintln(w, "# HELP budgetwfd_requests_total Requests received, by endpoint.")
 	fmt.Fprintln(w, "# TYPE budgetwfd_requests_total counter")
 	for _, c := range mapCounters(m.requests) {
-		fmt.Fprintf(w, "budgetwfd_requests_total{endpoint=%q} %d\n", escapeLabelValue(c.Key), c.Value)
+		fmt.Fprintf(w, "budgetwfd_requests_total{endpoint=\"%s\"} %d\n", escapeLabelValue(c.Key), c.Value)
 	}
 
 	fmt.Fprintln(w, "# HELP budgetwfd_responses_total Responses sent, by HTTP status.")
 	fmt.Fprintln(w, "# TYPE budgetwfd_responses_total counter")
 	for _, c := range mapCounters(m.statuses) {
-		fmt.Fprintf(w, "budgetwfd_responses_total{status=%q} %d\n", escapeLabelValue(c.Key), c.Value)
+		fmt.Fprintf(w, "budgetwfd_responses_total{status=\"%s\"} %d\n", escapeLabelValue(c.Key), c.Value)
 	}
 
 	fmt.Fprintln(w, "# HELP budgetwfd_schedule_algorithms_total Schedule requests (cache hits included), by algorithm.")
 	fmt.Fprintln(w, "# TYPE budgetwfd_schedule_algorithms_total counter")
 	for _, c := range mapCounters(m.algorithms) {
-		fmt.Fprintf(w, "budgetwfd_schedule_algorithms_total{algorithm=%q} %d\n", escapeLabelValue(c.Key), c.Value)
+		fmt.Fprintf(w, "budgetwfd_schedule_algorithms_total{algorithm=\"%s\"} %d\n", escapeLabelValue(c.Key), c.Value)
 	}
 
 	fmt.Fprintln(w, "# HELP budgetwfd_estimator_requests_total Simulate/sweep requests, by estimator (mc, analytic).")
 	fmt.Fprintln(w, "# TYPE budgetwfd_estimator_requests_total counter")
 	for _, c := range mapCounters(m.estimators) {
-		fmt.Fprintf(w, "budgetwfd_estimator_requests_total{estimator=%q} %d\n", escapeLabelValue(c.Key), c.Value)
+		fmt.Fprintf(w, "budgetwfd_estimator_requests_total{estimator=\"%s\"} %d\n", escapeLabelValue(c.Key), c.Value)
 	}
 
 	fmt.Fprintln(w, "# HELP budgetwfd_jobs_total Async-job lifecycle events, by event.")
 	fmt.Fprintln(w, "# TYPE budgetwfd_jobs_total counter")
 	for _, c := range mapCounters(m.jobs) {
-		fmt.Fprintf(w, "budgetwfd_jobs_total{event=%q} %d\n", escapeLabelValue(c.Key), c.Value)
+		fmt.Fprintf(w, "budgetwfd_jobs_total{event=\"%s\"} %d\n", escapeLabelValue(c.Key), c.Value)
 	}
 
 	if m.jobStates != nil {
@@ -97,7 +99,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Fprintf(w, "budgetwfd_jobs{state=%q} %d\n", escapeLabelValue(k), states[k])
+			fmt.Fprintf(w, "budgetwfd_jobs{state=\"%s\"} %d\n", escapeLabelValue(k), states[k])
 		}
 	}
 
@@ -274,7 +276,7 @@ func (m *Metrics) writePrometheusSharedPool(w io.Writer) {
 	for _, f := range tenantFamilies {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
 		for _, v := range tenants {
-			fmt.Fprintf(w, "%s{tenant=%q} %s\n", f.name, escapeLabelValue(v.ID), f.value(v))
+			fmt.Fprintf(w, "%s{tenant=\"%s\"} %s\n", f.name, escapeLabelValue(v.ID), f.value(v))
 		}
 	}
 }
@@ -303,13 +305,13 @@ func (m *Metrics) writePrometheusHistograms(w io.Writer) {
 		cum := uint64(0)
 		for i, boundMs := range latencyBoundsMs {
 			cum += e.snap.Buckets[i]
-			fmt.Fprintf(w, "budgetwfd_request_duration_seconds_bucket{endpoint=%q,le=%q} %d\n",
+			fmt.Fprintf(w, "budgetwfd_request_duration_seconds_bucket{endpoint=\"%s\",le=\"%s\"} %d\n",
 				ep, formatSeconds(boundMs/1e3), cum)
 		}
 		cum += e.snap.Buckets[len(latencyBoundsMs)]
-		fmt.Fprintf(w, "budgetwfd_request_duration_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", ep, cum)
-		fmt.Fprintf(w, "budgetwfd_request_duration_seconds_sum{endpoint=%q} %g\n", ep, e.snap.SumMs/1e3)
-		fmt.Fprintf(w, "budgetwfd_request_duration_seconds_count{endpoint=%q} %d\n", ep, e.snap.Count)
+		fmt.Fprintf(w, "budgetwfd_request_duration_seconds_bucket{endpoint=\"%s\",le=\"+Inf\"} %d\n", ep, cum)
+		fmt.Fprintf(w, "budgetwfd_request_duration_seconds_sum{endpoint=\"%s\"} %g\n", ep, e.snap.SumMs/1e3)
+		fmt.Fprintf(w, "budgetwfd_request_duration_seconds_count{endpoint=\"%s\"} %d\n", ep, e.snap.Count)
 	}
 }
 

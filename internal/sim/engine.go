@@ -10,7 +10,7 @@ import (
 )
 
 // eventKind discriminates entries of the fixed-event heap.
-type eventKind int
+type eventKind uint8
 
 const (
 	evBootDone eventKind = iota
@@ -18,13 +18,16 @@ const (
 	evFlowDone // only used when the datacenter bandwidth is unbounded
 )
 
+// event is pointer-free, so sifting the heap moves plain words: no GC
+// write barriers, and the backing array is never scanned. A flow is
+// named by its index in the engine's flow arena.
 type event struct {
 	time float64
 	seq  int // insertion order, for deterministic tie-breaking
+	vm   int32
+	task int32 // wf.TaskID
+	flow int32 // flowArena index (evFlowDone only)
 	kind eventKind
-	vm   int
-	task wf.TaskID
-	flow *flow
 }
 
 // eventHeap is a hand-rolled binary min-heap of event values ordered
@@ -33,50 +36,55 @@ type event struct {
 // keeps events in one reusable backing array.
 type eventHeap []event
 
-func (h eventHeap) before(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+func (a *event) before(b *event) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
+// push and pop move a hole instead of swapping, writing each displaced
+// event once. (time, seq) is a strict total order, so the pop sequence
+// is the same as any other correct heap's.
 func (h *eventHeap) push(ev event) {
 	*h = append(*h, ev)
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.before(i, parent) {
+		if !ev.before(&s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = ev
 }
 
 func (h *eventHeap) pop() event {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // drop the flow pointer
+	last := s[n]
 	s = s[:n]
 	*h = s
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && s.before(l, smallest) {
-			smallest = l
-		}
-		if r < n && s.before(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
+		if r := c + 1; r < n && s[r].before(&s[c]) {
+			c = r
+		}
+		if !s[c].before(&last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	if n > 0 {
+		s[i] = last
 	}
 	return top
 }
@@ -99,7 +107,6 @@ type flow struct {
 	remaining float64
 	rate      float64
 	seq       int
-	done      bool
 }
 
 // vmState tracks one VM through the simulation.
@@ -119,75 +126,34 @@ type vmState struct {
 	busyTime float64 // accumulated staging + compute time
 }
 
-// engineStatic is the schedule-dependent, run-independent part of the
-// engine: cached graph structure, staging volumes and the validation
-// outcome. A Runner computes it once and replays many executions
-// against it; the one-shot entry points build it per call.
-type engineStatic struct {
-	w     *wf.Workflow
-	p     *platform.Platform
-	s     *plan.Schedule
-	fluid bool
-
-	outEdges  [][]wf.Edge // cached successor edges (wf.Succ allocates)
-	extOut    []float64   // cached external output volumes
-	stageSize []float64   // bytes to stage before computing (incl. external in)
-	missing0  []int       // initial count of crossing inputs per task
-	flowCap   int         // upper bound on flows per run, sizing the arena
-	maxSteps  int
-}
-
-func newEngineStatic(w *wf.Workflow, p *platform.Platform, s *plan.Schedule) (*engineStatic, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := s.Validate(w, p.NumCategories()); err != nil {
-		return nil, err
-	}
-	n := w.NumTasks()
-	st := &engineStatic{
-		w:         w,
-		p:         p,
-		s:         s,
-		fluid:     p.DCBandwidth > 0,
-		outEdges:  make([][]wf.Edge, n),
-		extOut:    make([]float64, n),
-		stageSize: make([]float64, n),
-		missing0:  make([]int, n),
-		maxSteps:  16 * (n + w.NumEdges() + s.NumVMs() + 16),
-	}
-	crossEdges := 0
-	for t := 0; t < n; t++ {
-		task := w.Task(wf.TaskID(t))
-		st.stageSize[t] = task.ExternalIn
-		st.extOut[t] = task.ExternalOut
-		st.outEdges[t] = w.Succ(wf.TaskID(t))
-		for _, edge := range w.Pred(wf.TaskID(t)) {
-			if s.TaskVM[edge.From] != s.TaskVM[edge.To] {
-				st.stageSize[t] += edge.Size
-				st.missing0[t]++
-				crossEdges++
-			}
-		}
-	}
-	// One staging flow per task, one upload per crossing edge, one
-	// external-output upload per task, at most.
-	st.flowCap = 2*n + crossEdges
-	return st, nil
-}
-
-// engine is the per-run mutable state. Reset() rewinds it so one
-// allocation of every buffer serves a whole replication batch.
+// engine is the deterministic executor. Its state has three lifetimes:
+// the workflow/platform part is built once by newEngine, the schedule
+// part by bind, and the per-run part is rewound by reset. A Runner
+// keeps one engine for every schedule it is retargeted to and every
+// execution it replays; the one-shot entry points build one per call.
 type engine struct {
-	st      *engineStatic
-	weights []float64
+	// Bound once by newEngine.
+	w        *wf.Workflow
+	p        *platform.Platform
+	fluid    bool
+	outEdges [][]wf.Edge // cached successor edges (wf.Succ allocates)
+	extOut   []float64   // cached external output volumes
 
+	// Bound per schedule by bind.
+	s         *plan.Schedule // nil until a bind succeeds
+	stageSize []float64      // bytes to stage before computing (incl. external in)
+	missing0  []int          // initial count of crossing inputs per task
+	maxSteps  int
+	check     plan.Scratch // Validate's buffers
+
+	// Per run, rewound by reset.
+	weights   []float64
 	now       float64
 	seq       int
 	events    eventHeap
-	flows     []*flow // active fluid flows (fluid mode only)
-	flowArena []flow  // backing store; cap is fixed so pointers stay stable
-	doneBuf   []*flow // scratch for advanceFlows
+	flows     []int32 // active fluid flows (fluid mode only), arena indices
+	flowArena []flow  // every flow of the run, named by index
+	doneBuf   []int32 // scratch for advanceFlows
 
 	vms []vmState
 
@@ -205,12 +171,21 @@ type engine struct {
 	result Result // reused by collect()
 }
 
-func newEngineFromStatic(st *engineStatic) *engine {
-	n := st.w.NumTasks()
-	return &engine{
-		st:           st,
-		flowArena:    make([]flow, 0, st.flowCap),
-		vms:          make([]vmState, st.s.NumVMs()),
+// newEngine validates the platform, builds the workflow-bound caches
+// and binds s.
+func newEngine(w *wf.Workflow, p *platform.Platform, s *plan.Schedule) (*engine, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	n := w.NumTasks()
+	e := &engine{
+		w:            w,
+		p:            p,
+		fluid:        p.DCBandwidth > 0,
+		outEdges:     make([][]wf.Edge, n),
+		extOut:       make([]float64, n),
+		stageSize:    make([]float64, n),
+		missing0:     make([]int, n),
 		missing:      make([]int, n),
 		dcReadyTime:  make([]float64, n),
 		dcReadyPred:  make([]wf.TaskID, n),
@@ -219,22 +194,58 @@ func newEngineFromStatic(st *engineStatic) *engine {
 		blames:       make([]Blame, n),
 		finishedTask: make([]bool, n),
 	}
-}
-
-func newEngine(w *wf.Workflow, p *platform.Platform, s *plan.Schedule, weights []float64) (*engine, error) {
-	st, err := newEngineStatic(w, p, s)
-	if err != nil {
-		return nil, err
+	for t := 0; t < n; t++ {
+		e.extOut[t] = w.Task(wf.TaskID(t)).ExternalOut
+		e.outEdges[t] = w.Succ(wf.TaskID(t))
 	}
-	e := newEngineFromStatic(st)
-	if err := e.reset(weights); err != nil {
+	if err := e.bind(s); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
+// bind validates s against the engine's workflow and platform and
+// derives the schedule-dependent state in place: staging volumes,
+// crossing-input counts and the arena and step bounds. Per-VM state
+// and the flow arena are reallocated only when they must grow. On an
+// invalid schedule the engine is left unbound. The engine reads s
+// during every later run, so s must not change until the next bind.
+func (e *engine) bind(s *plan.Schedule) error {
+	e.s = nil
+	if err := e.check.Validate(s, e.w, e.p.NumCategories()); err != nil {
+		return err
+	}
+	for t, task := range e.w.TasksView() {
+		e.stageSize[t] = task.ExternalIn
+		e.missing0[t] = 0
+	}
+	// Edges in insertion order visit each task's inputs in wf.Pred
+	// order, so the staging sums round exactly as a per-task loop would.
+	crossEdges := 0
+	for _, edge := range e.w.EdgesView() {
+		if s.TaskVM[edge.From] != s.TaskVM[edge.To] {
+			e.stageSize[edge.To] += edge.Size
+			e.missing0[edge.To]++
+			crossEdges++
+		}
+	}
+	n := len(e.stageSize)
+	e.maxSteps = 16 * (n + e.w.NumEdges() + s.NumVMs() + 16)
+	// One staging flow per task, one upload per crossing edge, one
+	// external-output upload per task, at most.
+	if flowCap := 2*n + crossEdges; cap(e.flowArena) < flowCap {
+		e.flowArena = make([]flow, 0, flowCap)
+	}
+	if cap(e.vms) < s.NumVMs() {
+		e.vms = make([]vmState, s.NumVMs())
+	}
+	e.vms = e.vms[:s.NumVMs()]
+	e.s = s
+	return nil
+}
+
 // reset rewinds the engine to time zero with the given realized
-// weights, reusing every buffer allocated by newEngineFromStatic.
+// weights, reusing every buffer allocated by newEngine and bind.
 func (e *engine) reset(weights []float64) error {
 	for t, wt := range weights {
 		if wt <= 0 || math.IsNaN(wt) || math.IsInf(wt, 0) {
@@ -249,11 +260,11 @@ func (e *engine) reset(weights []float64) error {
 	e.flowArena = e.flowArena[:0]
 	e.doneCount = 0
 	e.xferCost = 0
-	s := e.st.s
+	s := e.s
 	for i := range e.vms {
 		e.vms[i] = vmState{cat: s.VMCats[i], queue: s.Order[i]}
 	}
-	copy(e.missing, e.st.missing0)
+	copy(e.missing, e.missing0)
 	for t := range e.dcReadyTime {
 		e.dcReadyTime[t] = 0
 		e.dcReadyPred[t] = 0
@@ -271,29 +282,19 @@ func (e *engine) push(ev event) {
 	e.events.push(ev)
 }
 
-// newFlow places f in the arena and returns a stable pointer. The
-// arena capacity bounds the flows any run can create, so append never
-// reallocates; the defensive overflow branch heap-allocates instead of
-// invalidating existing pointers.
-func (e *engine) newFlow(f flow) *flow {
-	var p *flow
-	if len(e.flowArena) < cap(e.flowArena) {
-		e.flowArena = e.flowArena[:len(e.flowArena)+1]
-		p = &e.flowArena[len(e.flowArena)-1]
-	} else {
-		p = new(flow)
-	}
-	// Copy through the pointer rather than returning &f: taking the
-	// parameter's address would force a heap allocation at every call
-	// site, arena hit or not.
-	*p = f
-	return p
+// newFlow places f in the arena and returns its index. bind sizes the
+// arena for every flow a run can create; should it ever grow anyway,
+// indices stay valid where pointers would not.
+func (e *engine) newFlow(f flow) int32 {
+	e.flowArena = append(e.flowArena, f)
+	return int32(len(e.flowArena) - 1)
 }
 
 // startFlow begins a data movement of size bytes. Zero-size flows
 // complete synchronously via the caller's follow-up logic, so callers
 // must not create them.
-func (e *engine) startFlow(f *flow) {
+func (e *engine) startFlow(fi int32) {
+	f := &e.flowArena[fi]
 	f.seq = e.seq
 	e.seq++
 	// Every flow crosses the VM↔DC link of the flow's VM; on a market
@@ -302,12 +303,12 @@ func (e *engine) startFlow(f *flow) {
 	// three degenerate to the scalar model (latency 0, surcharge 0,
 	// CatBandwidth == Bandwidth) on single-provider platforms.
 	cat := e.vms[f.vm].cat
-	e.xferCost += f.remaining * e.st.p.XferCost(cat)
-	if !e.st.fluid {
-		e.push(event{time: e.now + e.st.p.XferLat(cat) + f.remaining/e.st.p.CatBandwidth(cat), kind: evFlowDone, flow: f})
+	e.xferCost += f.remaining * e.p.XferCost(cat)
+	if !e.fluid {
+		e.push(event{time: e.now + e.p.XferLat(cat) + f.remaining/e.p.CatBandwidth(cat), kind: evFlowDone, flow: fi})
 		return
 	}
-	e.flows = append(e.flows, f)
+	e.flows = append(e.flows, fi)
 }
 
 // assignRates implements max-min fair sharing of the datacenter
@@ -318,31 +319,31 @@ func (e *engine) assignRates() {
 	if k == 0 {
 		return
 	}
-	share := e.st.p.DCBandwidth / float64(k)
-	rate := math.Min(e.st.p.Bandwidth, share)
+	share := e.p.DCBandwidth / float64(k)
+	rate := math.Min(e.p.Bandwidth, share)
 	// If the per-link cap binds for every flow, the aggregate is under
 	// the DC cap and everyone gets the link rate; otherwise the equal
 	// DC share applies (all flows have the same cap, so max-min fair
 	// sharing reduces to the minimum of the two).
-	for _, f := range e.flows {
-		f.rate = rate
+	for _, fi := range e.flows {
+		e.flowArena[fi].rate = rate
 	}
 }
 
 // advanceFlows moves fluid flows forward by dt and returns those that
 // completed, preserving creation order for determinism. The returned
 // slice is scratch, valid until the next call.
-func (e *engine) advanceFlows(dt float64) []*flow {
+func (e *engine) advanceFlows(dt float64) []int32 {
 	done := e.doneBuf[:0]
 	remainingFlows := e.flows[:0]
-	for _, f := range e.flows {
+	for _, fi := range e.flows {
+		f := &e.flowArena[fi]
 		f.remaining -= f.rate * dt
 		if f.remaining <= 1e-9 {
 			f.remaining = 0
-			f.done = true
-			done = append(done, f)
+			done = append(done, fi)
 		} else {
-			remainingFlows = append(remainingFlows, f)
+			remainingFlows = append(remainingFlows, fi)
 		}
 	}
 	e.flows = remainingFlows
@@ -366,16 +367,16 @@ func (e *engine) tryAdvance(v int) {
 		vm.booked = true
 		vm.booting = true
 		vm.bookTime = e.now
-		vm.bootDone = e.now + e.st.p.CatBootTime(vm.cat)
-		e.push(event{time: vm.bootDone, kind: evBootDone, vm: v})
+		vm.bootDone = e.now + e.p.CatBootTime(vm.cat)
+		e.push(event{time: vm.bootDone, kind: evBootDone, vm: int32(v)})
 		return
 	}
 	// VM is booted and idle: start staging (or compute directly).
 	vm.busy = true
 	e.times[t].StageStart = e.now
 	e.blames[t] = e.blameFor(v, t)
-	if e.st.stageSize[t] > 0 {
-		e.startFlow(e.newFlow(flow{kind: flowStaging, vm: v, task: t, edge: -1, remaining: e.st.stageSize[t]}))
+	if e.stageSize[t] > 0 {
+		e.startFlow(e.newFlow(flow{kind: flowStaging, vm: v, task: t, edge: -1, remaining: e.stageSize[t]}))
 		return
 	}
 	e.startCompute(v, t)
@@ -402,8 +403,8 @@ func (e *engine) blameFor(v int, t wf.TaskID) Blame {
 
 func (e *engine) startCompute(v int, t wf.TaskID) {
 	e.times[t].ComputeStart = e.now
-	dur := e.weights[t] / e.st.p.Categories[e.vms[v].cat].Speed
-	e.push(event{time: e.now + dur, kind: evComputeDone, vm: v, task: t})
+	dur := e.weights[t] / e.p.Categories[e.vms[v].cat].Speed
+	e.push(event{time: e.now + dur, kind: evComputeDone, vm: int32(v), task: int32(t)})
 }
 
 func (e *engine) finishCompute(v int, t wf.TaskID) {
@@ -420,8 +421,8 @@ func (e *engine) finishCompute(v int, t wf.TaskID) {
 		vm.end = e.now
 	}
 	// Launch uploads for consumers on other VMs and external outputs.
-	for ei, edge := range e.st.outEdges[t] {
-		if e.st.s.TaskVM[edge.From] == e.st.s.TaskVM[edge.To] {
+	for ei, edge := range e.outEdges[t] {
+		if e.s.TaskVM[edge.From] == e.s.TaskVM[edge.To] {
 			continue // data stays local
 		}
 		if edge.Size == 0 {
@@ -430,7 +431,7 @@ func (e *engine) finishCompute(v int, t wf.TaskID) {
 		}
 		e.startFlow(e.newFlow(flow{kind: flowUpload, vm: v, task: t, edge: ei, remaining: edge.Size}))
 	}
-	if out := e.st.extOut[t]; out > 0 {
+	if out := e.extOut[t]; out > 0 {
 		e.startFlow(e.newFlow(flow{kind: flowUpload, vm: v, task: t, edge: -1, remaining: out}))
 	}
 	vm.next++
@@ -451,18 +452,20 @@ func (e *engine) uploadArrived(srcVM int, edge wf.Edge) {
 		e.hasDCPred[t] = true
 	}
 	if e.missing[t] == 0 {
-		e.tryAdvance(e.st.s.TaskVM[t])
+		e.tryAdvance(e.s.TaskVM[t])
 	}
 }
 
-func (e *engine) handleFlowDone(f *flow) {
+func (e *engine) handleFlowDone(fi int32) {
+	// Copy: the handlers below may start flows and grow the arena.
+	f := e.flowArena[fi]
 	if f.kind == flowStaging {
 		e.startCompute(f.vm, f.task)
 		return
 	}
 	// Upload.
 	if f.edge >= 0 {
-		edges := e.st.outEdges[f.task]
+		edges := e.outEdges[f.task]
 		e.uploadArrived(f.vm, edges[f.edge])
 		return
 	}
@@ -473,12 +476,12 @@ func (e *engine) handleFlowDone(f *flow) {
 }
 
 func (e *engine) run() (*Result, error) {
-	n := e.st.w.NumTasks()
+	n := e.w.NumTasks()
 	for v := range e.vms {
 		e.tryAdvance(v)
 	}
 	guard := 0
-	maxSteps := e.st.maxSteps
+	maxSteps := e.maxSteps
 	for e.doneCount < n || len(e.flows) > 0 || len(e.events) > 0 {
 		guard++
 		if guard > maxSteps {
@@ -488,10 +491,11 @@ func (e *engine) run() (*Result, error) {
 		if len(e.events) > 0 {
 			nextFixed = e.events[0].time
 		}
-		if e.st.fluid && len(e.flows) > 0 {
+		if e.fluid && len(e.flows) > 0 {
 			e.assignRates()
 			nextFlow := math.Inf(1)
-			for _, f := range e.flows {
+			for _, fi := range e.flows {
+				f := &e.flowArena[fi]
 				if c := f.remaining / f.rate; c < nextFlow {
 					nextFlow = c
 				}
@@ -499,8 +503,8 @@ func (e *engine) run() (*Result, error) {
 			if e.now+nextFlow < nextFixed {
 				done := e.advanceFlows(nextFlow)
 				e.now += nextFlow
-				for _, f := range done {
-					e.handleFlowDone(f)
+				for _, fi := range done {
+					e.handleFlowDone(fi)
 				}
 				continue
 			}
@@ -508,8 +512,8 @@ func (e *engine) run() (*Result, error) {
 			if !math.IsInf(nextFixed, 1) {
 				done := e.advanceFlows(nextFixed - e.now)
 				e.now = nextFixed
-				for _, f := range done {
-					e.handleFlowDone(f)
+				for _, fi := range done {
+					e.handleFlowDone(fi)
 				}
 			}
 		}
@@ -531,9 +535,9 @@ func (e *engine) run() (*Result, error) {
 			vm := &e.vms[ev.vm]
 			vm.booting = false
 			vm.freeAt = e.now
-			e.tryAdvance(ev.vm)
+			e.tryAdvance(int(ev.vm))
 		case evComputeDone:
-			e.finishCompute(ev.vm, ev.task)
+			e.finishCompute(int(ev.vm), wf.TaskID(ev.task))
 		case evFlowDone:
 			e.handleFlowDone(ev.flow)
 		}
@@ -565,7 +569,7 @@ func (e *engine) collect() *Result {
 		if vm.end > lastEvent {
 			lastEvent = vm.end
 		}
-		cost := e.st.p.VMCost(vm.cat, vm.bootDone, vm.end)
+		cost := e.p.VMCost(vm.cat, vm.bootDone, vm.end)
 		res.VMs = append(res.VMs, VMUsage{
 			Cat:      vm.cat,
 			Book:     vm.bookTime,
@@ -582,7 +586,7 @@ func (e *engine) collect() *Result {
 	res.FirstBook = firstBook
 	res.LastEvent = lastEvent
 	res.Makespan = lastEvent - firstBook
-	res.DCCost = e.st.p.DCCost(e.st.w.ExternalInSize(), e.st.w.ExternalOutSize(), firstBook, lastEvent)
+	res.DCCost = e.p.DCCost(e.w.ExternalInSize(), e.w.ExternalOutSize(), firstBook, lastEvent)
 	res.XferCost = e.xferCost
 	res.TotalCost = res.DCCost + res.VMCost() + res.XferCost
 	return res

@@ -237,8 +237,11 @@ func Run(w *wf.Workflow, p *platform.Platform, s *plan.Schedule, weights []float
 	if len(weights) != w.NumTasks() {
 		return nil, fmt.Errorf("sim: %d weights for %d tasks", len(weights), w.NumTasks())
 	}
-	e, err := newEngine(w, p, s, weights)
+	e, err := newEngine(w, p, s)
 	if err != nil {
+		return nil, err
+	}
+	if err := e.reset(weights); err != nil {
 		return nil, err
 	}
 	return e.run()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"budgetwf/internal/obs"
@@ -13,10 +14,12 @@ import (
 
 // Runner replays one schedule many times without re-allocating the
 // engine: the graph caches, event heap, flow arena and result buffers
-// are built once and rewound per execution. Monte Carlo replication
-// loops (exp sweeps, the daemon's /v1/simulate, replication-based
-// objectives) should prefer a Runner over the package-level Run*
-// functions, which pay the full engine construction per call.
+// are built once and rewound per execution, and Retarget moves them
+// to another schedule of the same workflow and platform. Monte Carlo
+// replication loops (exp sweeps, the daemon's /v1/simulate,
+// replication-based objectives) and the refinement algorithms should
+// prefer a Runner over the package-level Run* functions, which pay the
+// full engine construction per call.
 //
 // A Runner is NOT safe for concurrent use, and each *Result it returns
 // aliases the Runner's internal buffers: it is valid only until the
@@ -33,6 +36,9 @@ type Runner struct {
 	reps int       // executions since SetSpan, numbers the children
 }
 
+// errUnbound is returned by a Runner whose last Retarget failed.
+var errUnbound = errors.New("sim: runner has no valid schedule; the last Retarget failed")
+
 // SetSpan attaches a tracing span to the Runner: every subsequent
 // execution opens a numbered "replication" child span recording the
 // realized makespan, total cost and VM count (internal/obs). A nil
@@ -45,12 +51,12 @@ func (r *Runner) SetSpan(s *obs.Span) {
 // NewRunner validates the (workflow, platform, schedule) triple once
 // and returns a Runner for repeated executions of that schedule.
 func NewRunner(w *wf.Workflow, p *platform.Platform, s *plan.Schedule) (*Runner, error) {
-	st, err := newEngineStatic(w, p, s)
+	eng, err := newEngine(w, p, s)
 	if err != nil {
 		return nil, err
 	}
 	r := &Runner{
-		eng:   newEngineFromStatic(st),
+		eng:   eng,
 		dists: make([]stoch.Dist, w.NumTasks()),
 		buf:   make([]float64, w.NumTasks()),
 	}
@@ -60,11 +66,25 @@ func NewRunner(w *wf.Workflow, p *platform.Platform, s *plan.Schedule) (*Runner,
 	return r, nil
 }
 
+// Retarget validates s — the same checks as NewRunner — and points the
+// Runner at it, keeping the workflow and platform and reusing every
+// buffer, so evaluating a stream of candidate schedules (the HEFTBUDG+
+// and CG+ refinements) allocates nothing once the buffers have grown.
+// s is read by every later execution, so it must not change until the
+// next Retarget. If s is invalid the error is returned and the Runner
+// refuses to run until a Retarget succeeds.
+func (r *Runner) Retarget(s *plan.Schedule) error {
+	return r.eng.bind(s)
+}
+
 // Run simulates one execution under the given realized weights. The
 // weights slice is only read during the call.
 func (r *Runner) Run(weights []float64) (*Result, error) {
 	if len(weights) != len(r.buf) {
 		return nil, fmt.Errorf("sim: %d weights for %d tasks", len(weights), len(r.buf))
+	}
+	if r.eng.s == nil {
+		return nil, errUnbound
 	}
 	if err := r.eng.reset(weights); err != nil {
 		return nil, err
